@@ -586,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["auto", "fast", "reference", "batch", "edge"],
         help="simulation backend: 'fast' (bitset engine, declarative policies only), "
         "'reference' (callback engine), 'batch' (vectorized multi-replication engine; "
-        "combine with --reps), 'edge' (edge-vectorized single-run engine for large "
+        "combine with --reps), 'edge' (the vectorized engine as one run, for large "
         "graphs), or 'auto' (fast when the algorithm allows it, edge from 100k nodes, "
         "batch when --reps asks for replications)",
     )

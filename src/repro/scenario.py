@@ -474,7 +474,7 @@ class ScenarioSpec:
             )
         if self.reps > 1 and self.engine == "edge":
             raise ScenarioError(
-                "the edge engine vectorizes a single run across the edge set and has "
+                "the edge engine is the vectorized engine pinned to one run and has "
                 "no replication axis; replicated scenarios (reps > 1) need engine "
                 "'batch' (vectorized), 'fast' (sequential numpy-mode loop), or 'auto'"
             )

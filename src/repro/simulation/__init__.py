@@ -17,26 +17,25 @@ running, completion queries), with two registered backends:
   informed counts so completion predicates are O(1).  It runs only
   *declarative* :class:`~repro.simulation.protocol.RoundPolicySpec`
   policies.
-* ``"batch"`` — :class:`~repro.simulation.batch_engine.BatchEngine`: runs
-  ``reps`` replications of one declarative scenario as a single numpy
-  computation (knowledge as an ``(n, reps, words)`` uint64 bitplane
-  tensor; one independent numpy Generator per replication, seeded
-  ``derive_seed(seed, "rep", r)``).  Driven through
+* ``"batch"`` — :class:`~repro.simulation.batch_engine.BatchEngine`: the
+  one vectorized round kernel.  It runs ``reps`` replications of one
+  declarative scenario as a single numpy computation (knowledge as an
+  ``(n, reps, words)`` uint64 bitplane tensor; one independent numpy
+  Generator per replication, seeded ``derive_seed(seed, "rep", r)``; one
+  draw, one latency argsort and one knowledge scatter per round over every
+  edge slot).  Driven through
   :meth:`~repro.simulation.batch_engine.BatchEngine.run_batch` with a
   :class:`~repro.simulation.protocol.BatchPolicySpec`; replication ``r``
   is bit-for-bit the sequential numpy-mode fast-backend run with the same
-  seed label.
-* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`:
-  vectorizes a *single* run across the whole edge set (the transpose of
-  the batch backend's replication axis) — one numpy draw vector, one
-  latency-argsort, and one bitwise scatter per round over a flat
-  ``(n, words)`` uint64 knowledge bitplane.  Runs the same declarative
-  :class:`~repro.simulation.protocol.RoundPolicySpec` surface as the fast
-  backend and is bit-for-bit the numpy-mode fast run seeded
-  ``derive_seed(seed, "rep", 0)``; ``"auto"`` prefers it from
-  :data:`~repro.simulation.protocol.EDGE_AUTO_NODE_THRESHOLD` nodes up.
-  Its up-front memory guard raises
+  seed label.  Its up-front memory guard raises
   :class:`~repro.simulation.protocol.SimulationError` instead of OOM-ing.
+* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`: the
+  single-run view of that kernel (``reps=1``), with the fast backend's
+  ``step``/``run`` surface over
+  :class:`~repro.simulation.protocol.RoundPolicySpec` policies (numpy
+  Generator rng, seeded ``derive_seed(seed, "rep", 0)``).  ``"auto"``
+  prefers it from
+  :data:`~repro.simulation.protocol.EDGE_AUTO_NODE_THRESHOLD` nodes up.
 
 The capability contract
 -----------------------
@@ -79,8 +78,8 @@ Modules
   policy specs, and the backend registry,
 * :mod:`~repro.simulation.engine` — the reference round/exchange engine,
 * :mod:`~repro.simulation.fast_engine` — the bitset fast backend,
-* :mod:`~repro.simulation.edge_engine` — the edge-vectorized single-run
-  backend,
+* :mod:`~repro.simulation.batch_engine` — the vectorized round kernel,
+* :mod:`~repro.simulation.edge_engine` — its single-run view,
 * :mod:`~repro.simulation.dynamics` — topology-dynamics events, schedules,
   and the shared applier,
 * :mod:`~repro.simulation.messages` — rumors and per-node knowledge,

@@ -1,10 +1,10 @@
-"""Vectorized batch-replication backend: R seeded runs as one numpy computation.
+"""The vectorized round kernel: R seeded runs of one scenario as numpy arrays.
 
 The paper's claims are about *distributions* of spreading times, so every
-experiment runs many seeded replications of the same scenario.  Running them
-one :class:`~repro.simulation.fast_engine.FastEngine` at a time leaves the
-per-round Python loop as the bottleneck; :class:`BatchEngine` removes it by
-simulating all ``reps`` replications in lockstep:
+experiment runs many seeded replications of the same scenario, and its
+largest single runs have 10^6 nodes.  :class:`BatchEngine` serves both by
+simulating ``reps`` replications in lockstep, each round one set of array
+operations over every (node, replication) cell:
 
 * **knowledge** is an ``(n_nodes, reps, words)`` uint64 bitplane tensor —
   bit ``b`` of a node's words is rumor ``b``, exactly the fast backend's
@@ -36,10 +36,21 @@ metrics are materialized at its own completion round — so each
 replication's :class:`~repro.simulation.metrics.SimulationMetrics` matches
 the sequential run that would have stopped there.
 
+Memory guard
+------------
+The engine estimates its array footprint up front (knowledge tensor, CSR
+arrays, worst-case in-flight pipeline) and raises
+:class:`~repro.simulation.protocol.SimulationError` with the estimate
+instead of OOM-ing — most importantly for all-to-all seeding, whose
+knowledge tensor is ``reps * n^2/8`` bytes.
+
 The engine registers itself as the ``"batch"`` backend and is driven
 through :meth:`run_batch` (the
 :class:`~repro.simulation.protocol.BatchCapability` surface) with a
-:class:`~repro.simulation.protocol.BatchPolicySpec`.
+:class:`~repro.simulation.protocol.BatchPolicySpec`.  Its one-replication
+case is the ``"edge"`` backend,
+:class:`~repro.simulation.edge_engine.EdgeEngine`, which adds the
+single-run ``step``/``run`` surface on top of this kernel.
 """
 
 from __future__ import annotations
@@ -54,32 +65,16 @@ from ..graphs.weighted_graph import GraphError, NodeId, WeightedGraph
 from .dynamics import FaultState, TopologyDynamics, apply_events
 from .messages import Rumor
 from .metrics import SimulationMetrics
-from .protocol import BatchPolicySpec, register_engine
+from .protocol import BatchPolicySpec, SimulationError, register_engine
 from .rng import uniform_slot_offsets
 
-__all__ = ["BatchEngine"]
+__all__ = ["BatchEngine", "DEFAULT_MEMORY_LIMIT"]
 
-class _BatchFaultState(FaultState):
-    """A :class:`FaultState` that mirrors new faults into batch-engine masks."""
+#: Default memory budget for the engine's arrays (bytes).
+DEFAULT_MEMORY_LIMIT = 4 * 1024**3
 
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "BatchEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def crash(self, node: NodeId) -> None:
-        """Crash-stop ``node`` across every replication column (idempotent)."""
-        if node not in self.crashed:
-            self.crashed.add(node)
-            self._engine._on_crash(node)
-
-    def drop_edge(self, u: NodeId, v: NodeId) -> None:
-        """Fault the edge ``{u, v}`` across every replication column."""
-        key = frozenset((u, v))
-        if key not in self.dropped:
-            self.dropped.add(key)
-            self._engine._on_edge_fault(u, v)
+#: Upper bound on the activation ring buffers (entries per buffer).
+_RING_BUFFER_CAP = 8_388_608
 
 
 @register_engine("batch")
@@ -103,6 +98,14 @@ class BatchEngine:
         replications, matching the scenario-seed derivation discipline.
     """
 
+    #: Backend name used in guard messages.
+    _backend = "batch"
+    #: Byte budget checked by the memory guard.
+    _memory_limit = DEFAULT_MEMORY_LIMIT
+    #: Skip per-edge activation counters above this many CSR slots
+    #: (``None``: always count).
+    _activation_slot_limit: Optional[int] = None
+
     def __init__(
         self,
         graph: WeightedGraph,
@@ -121,10 +124,13 @@ class BatchEngine:
         self.round = 0
         self._idx = graph.indexed()
         self._graph_version = graph.version
+        limit = self._activation_slot_limit
+        self._track_activations = limit is None or self._idx.indices.size <= limit
         self._load_csr()
         n = self._idx.num_nodes
-        # Knowledge bitplanes and per-(node, replication) state.
         self._words = 1
+        self._check_memory(words=1, action="constructing the engine")
+        # Knowledge bitplanes and per-(node, replication) state.
         self._know = np.zeros((n, reps, 1), dtype=np.uint64)
         # Per-(replication, node) state is laid out replication-major so
         # per-round broadcasts and the per-replication draw rows stay
@@ -153,16 +159,21 @@ class BatchEngine:
         self._max_payload = np.zeros(reps, dtype=np.int64)
         self._lost = np.zeros(reps, dtype=np.int64)
         self._suppressed = np.zeros(reps, dtype=np.int64)
-        # Edge-activation accounting: each round's (edge, rep) linear keys
-        # are appended to a fixed int32 ring buffer and folded into the
+        # Edge-activation accounting: each round's (slot, rep) pairs are
+        # appended to fixed int32 ring buffers and folded into the
         # (edge, rep) count matrix by one bincount per buffer-full (a
         # scatter-add every round would touch the whole matrix every round).
-        self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
-        buffer_size = min(8_388_608, max(65_536, 24 * n * reps))
-        self._act_slots = np.empty(buffer_size, dtype=np.int32)
-        self._act_reps = np.empty(buffer_size, dtype=np.int32)
-        self._act_fill = 0
+        # A round parks at most n * reps pairs; buffers of two rounds'
+        # volume fold at most every other round.  Larger buffers measured
+        # no faster and raised the peak memory of single large runs.
+        self._edge_counts: Optional[np.ndarray] = None
         self._folded_activations: list[Counter] = [Counter() for _ in range(reps)]
+        self._act_fill = 0
+        if self._track_activations:
+            self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
+            buffer_size = min(_RING_BUFFER_CAP, 2 * n * reps)
+            self._act_slots = np.empty(buffer_size, dtype=np.int32)
+            self._act_reps = np.empty(buffer_size, dtype=np.int32)
         # Completion bookkeeping.
         self._active = np.ones(reps, dtype=bool)
         self._completion_round = np.full(reps, -1, dtype=np.int64)
@@ -178,7 +189,7 @@ class BatchEngine:
         # booleans shrinks the in-flight pipeline's memory traffic 8x.
         self._bool_payloads = False
         # Fault state: label-based sets (shared applier) + index mirrors.
-        self._fault_state: FaultState = _BatchFaultState(self)
+        self._fault_state = FaultState(on_crash=self._on_crash, on_drop=self._on_edge_fault)
         self._crashed_mask = np.zeros(n, dtype=bool)
         self._dropped_keys: set[int] = set()
         self._dropped_keys_arr: Optional[np.ndarray] = None
@@ -201,7 +212,7 @@ class BatchEngine:
         self._popcounts: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # CSR snapshots
+    # CSR snapshots and the memory guard
     # ------------------------------------------------------------------
     def _load_csr(self) -> None:
         """Materialize the current IndexedGraph snapshot as numpy arrays."""
@@ -211,7 +222,8 @@ class BatchEngine:
         self._latencies = np.asarray(idx.latencies, dtype=np.int64)
         self._degrees = np.diff(self._indptr)
         self._starts = self._indptr[:-1]
-        self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
+        if self._track_activations:  # edge ids are built lazily on CSR-direct graphs
+            self._slot_edge_ids = np.asarray(idx.slot_edge_id, dtype=np.int64)
         self._set_latency_sortkey()
 
     def _set_latency_sortkey(self) -> None:
@@ -225,6 +237,45 @@ class BatchEngine:
         else:  # pragma: no cover - latencies this large do not occur in the suite
             self._latencies_sortkey = self._latencies
 
+    def _estimate_bytes(self, words: int) -> dict[str, int]:
+        """Estimate the engine's array footprint at ``words`` knowledge words.
+
+        Three dominant terms: the ``(n, reps, words)`` uint64 knowledge
+        tensor, the CSR arrays (four int64 planes plus the int16 sort key,
+        the per-edge activation counts and their ring buffers), and the
+        worst-case in-flight pipeline — every (node, replication) cell
+        keeps one exchange per round alive for up to the maximum edge
+        latency, each carrying three index columns and two payloads.
+        """
+        n = self._idx.num_nodes
+        reps = self.reps
+        slots = int(self._indices.size)
+        know = n * reps * words * 8
+        csr = slots * (8 * 4 + 2) + (n + 1) * 8
+        if self._track_activations:
+            csr += slots * reps * 8
+        max_latency = int(self._latencies.max()) if slots else 1
+        pipeline = n * reps * max(1, max_latency) * (24 + 16 * words)
+        return {"knowledge": know, "csr": csr, "pipeline": pipeline, "total": know + csr + pipeline}
+
+    def _check_memory(self, words: int, action: str) -> None:
+        """Raise :class:`SimulationError` when the estimate exceeds the limit."""
+        estimate = self._estimate_bytes(words)
+        if estimate["total"] > self._memory_limit:
+            detail = ", ".join(
+                f"{key}={value / 1024**3:.2f} GiB"
+                for key, value in estimate.items()
+                if key != "total"
+            )
+            raise SimulationError(
+                f"{self._backend} backend refuses {action}: estimated footprint "
+                f"{estimate['total'] / 1024**3:.2f} GiB ({detail}) for "
+                f"n={self._idx.num_nodes}, reps={self.reps}, {words * 64} rumor bits "
+                f"exceeds the {self._memory_limit / 1024**3:.2f} GiB memory limit; "
+                "lower n or reps, or seed fewer rumors (all-to-all needs n^2/8 bytes "
+                "per replication)"
+            )
+
     @property
     def num_nodes(self) -> int:
         """Current number of nodes in the simulated snapshot."""
@@ -233,6 +284,15 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Seeding knowledge (identical across every replication column)
     # ------------------------------------------------------------------
+    def _ensure_words(self, words: int) -> None:
+        """Grow the knowledge tensor to ``words`` uint64 words (guarded)."""
+        if words <= self._words:
+            return
+        self._check_memory(words=words, action=f"growing to {words * 64} rumor bits")
+        pad = np.zeros(self._know.shape[:2] + (words - self._words,), dtype=np.uint64)
+        self._know = np.concatenate([self._know, pad], axis=2)
+        self._words = words
+
     def seed_rumor(self, origin: NodeId, payload: Any = None) -> Rumor:
         """Give ``origin`` a fresh rumor (in every replication) and return it."""
         origin_index = self._idx.index.get(origin)
@@ -246,13 +306,11 @@ class BatchEngine:
             self._rumors.append(rumor)
             self._bit_origin.append(origin_index)
             self._seeded_origins.add(origin_index)
-            if bit >= self._words * 64:
-                pad = np.zeros(self._know.shape[:2] + (1,), dtype=np.uint64)
-                self._know = np.concatenate([self._know, pad], axis=2)
-                self._words += 1
+            self._ensure_words(bit // 64 + 1)
         word, offset = divmod(bit, 64)
         self._know[origin_index, :, word] |= np.uint64(1 << offset)
         self._popcounts = None
+        self._informed_cache = None
         return rumor
 
     def seed_all_rumors(self) -> dict[NodeId, Rumor]:
@@ -260,7 +318,10 @@ class BatchEngine:
 
         Seeded in label order, so rumor bit ``b`` originates at node index
         ``b`` — the invariant :meth:`all_to_all_complete_mask` relies on.
+        The knowledge tensor is grown once up front, so the memory guard
+        fires before any per-node work.
         """
+        self._ensure_words(max(1, -(-self._idx.num_nodes // 64)))
         return {node: self.seed_rumor(node) for node in self._idx.labels}
 
     def track_curve(self, rumor: Rumor) -> None:
@@ -308,8 +369,11 @@ class BatchEngine:
             return np.zeros(self.reps, dtype=bool)
         survivors = np.nonzero(~self._crashed_mask)[0]
         mask = np.zeros(self._words, dtype=np.uint64)
-        for origin in survivors:
-            mask[origin >> 6] |= np.uint64(1 << (int(origin) & 63))
+        np.bitwise_or.at(
+            mask,
+            survivors >> 6,
+            np.uint64(1) << (survivors & np.int64(63)).astype(np.uint64),
+        )
         satisfied = ((self._know & mask) == mask).all(axis=2)
         return satisfied[survivors].all(axis=0)
 
@@ -514,7 +578,8 @@ class BatchEngine:
             self._drop_pending_over(removed)
         self._idx = new
         self._load_csr()
-        self._edge_counts = np.zeros((new.num_edges, self.reps), dtype=np.int64)
+        if self._track_activations:
+            self._edge_counts = np.zeros((new.num_edges, self.reps), dtype=np.int64)
         self._mask_epoch += 1
         self._graph_version = self.graph.version
 
@@ -528,7 +593,7 @@ class BatchEngine:
             changed = False
             for entry in batches:
                 initiators, responders, rep_ids = entry[0], entry[1], entry[2]
-                if self._lin_entries:  # pragma: no cover - static runs never resync
+                if self._lin_entries:
                     initiators = initiators // self.reps
                     responders = responders // self.reps
                 keys = (initiators << 32) | responders
@@ -590,23 +655,21 @@ class BatchEngine:
         """Canonical (repr-sorted) label pair per edge id of a CSR snapshot."""
         keys: list[Optional[tuple[str, str]]] = [None] * idx.num_edges
         reprs = [repr(label) for label in idx.labels]
-        indptr, indices, slot_edge_id = (
-            idx.indptr.tolist(),
-            idx.indices.tolist(),
-            idx.slot_edge_id.tolist(),
-        )
-        for i in range(idx.num_nodes):
-            for slot in range(indptr[i], indptr[i + 1]):
-                j = indices[slot]
-                if i < j:
-                    first, second = reprs[i], reprs[j]
-                    if second < first:
-                        first, second = second, first
-                    keys[slot_edge_id[slot]] = (first, second)
+        sources = idx.slot_sources()
+        forward = sources < idx.indices  # each edge's one i < j slot
+        for edge_id, i, j in zip(
+            idx.slot_edge_id[forward].tolist(),
+            sources[forward].tolist(),
+            idx.indices[forward].tolist(),
+        ):
+            first, second = reprs[i], reprs[j]
+            keys[edge_id] = (first, second) if first <= second else (second, first)
         return keys  # type: ignore[return-value]
 
     def _fold_activations(self, idx) -> None:
         """Fold a retiring snapshot's per-edge counts into per-rep counters."""
+        if not self._track_activations:
+            return
         self._flush_activations()
         if not self._edge_counts.any():
             return
@@ -635,14 +698,14 @@ class BatchEngine:
         Exchanges belonging to replications that completed while the
         exchange was in flight are discarded here (the vectorized
         ``drain``); fault-suppressed exchanges count per replication.
+        Linear entries (static non-blocking single-word runs) carry
+        flattened knowledge indices; such runs have no faults and no
+        outstanding counts, so only the merge reads those indices.
         """
         batches = self._due.pop(self.round, None)
         if batches is None:
             return
         initiators, responders, rep_ids, payload_i, payload_j = self._concat_batches(batches)
-        if self._lin_entries:
-            self._deliver_linear(initiators, responders, rep_ids, payload_i, payload_j)
-            return
         if self._outstanding is not None:
             np.subtract.at(self._outstanding, (rep_ids, initiators), 1)
             if (self._outstanding < 0).any():
@@ -683,31 +746,36 @@ class BatchEngine:
         if self._popcounts is None:
             self._popcounts = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
         before = self._popcounts
-        # Under SIR, recovered (node, rep) cells ignore the payload (the
-        # exchange still completes and is charged) — a recovered cell must
-        # never re-enter the knowledge tensor.
-        rec_flat = (
-            self._sir_recovered.reshape(-1) if self._sir_infected_at is not None else None
-        )
         if self._words == 1:
             flat = know.reshape(-1)
+            if self._lin_entries:
+                lin_i, lin_j = initiators, responders
+            else:
+                lin_i = initiators * self.reps + rep_ids
+                lin_j = responders * self.reps + rep_ids
             if len(self._rumors) == 1:
                 # Single-rumor runs carry one-bit payloads, so the OR-merge
                 # degenerates to a duplicate-safe constant scatter.
-                one = np.uint64(1)
-                lin_j = responders * self.reps + rep_ids
-                lin_i = initiators * self.reps + rep_ids
-                sel_j = payload_i != 0
-                sel_i = payload_j != 0
-                if rec_flat is not None:
-                    sel_j &= ~rec_flat[lin_j]
-                    sel_i &= ~rec_flat[lin_i]
-                flat[lin_j[sel_j]] = one
-                flat[lin_i[sel_i]] = one
-                sizes = (payload_i + payload_j).astype(np.int64)
+                if payload_i.dtype == np.bool_:
+                    sel_j, sel_i = payload_i, payload_j
+                    sizes = payload_i.astype(np.int64)
+                    sizes += payload_j
+                else:
+                    sel_j = payload_i != 0
+                    sel_i = payload_j != 0
+                    sizes = (payload_i + payload_j).astype(np.int64)
+                if self._sir_infected_at is not None:
+                    # Under SIR, recovered (node, rep) cells ignore the
+                    # payload (the exchange still completes and is charged)
+                    # — a recovered cell must never re-enter the knowledge.
+                    rec_flat = self._sir_recovered.reshape(-1)
+                    sel_j = sel_j & ~rec_flat[lin_j]
+                    sel_i = sel_i & ~rec_flat[lin_i]
+                flat[lin_j[sel_j]] = np.uint64(1)
+                flat[lin_i[sel_i]] = np.uint64(1)
             else:
-                np.bitwise_or.at(flat, responders * self.reps + rep_ids, payload_i)
-                np.bitwise_or.at(flat, initiators * self.reps + rep_ids, payload_j)
+                np.bitwise_or.at(flat, lin_j, payload_i)
+                np.bitwise_or.at(flat, lin_i, payload_j)
                 sizes = (np.bitwise_count(payload_i) + np.bitwise_count(payload_j)).astype(
                     np.int64
                 )
@@ -718,10 +786,14 @@ class BatchEngine:
                 np.bitwise_count(payload_i).sum(axis=1, dtype=np.int64)
                 + np.bitwise_count(payload_j).sum(axis=1, dtype=np.int64)
             )
-        self._messages += 2 * np.bincount(rep_ids, minlength=self.reps)
-        self._payload_sent += np.bincount(rep_ids, weights=sizes, minlength=self.reps).astype(
-            np.int64
-        )
+        if self.reps == 1:  # one column: totals, without the float-weighted bincount
+            self._messages += 2 * rep_ids.size
+            self._payload_sent += int(sizes.sum())
+        else:
+            self._messages += 2 * np.bincount(rep_ids, minlength=self.reps)
+            self._payload_sent += np.bincount(
+                rep_ids, weights=sizes, minlength=self.reps
+            ).astype(np.int64)
         if sizes.size and int(sizes.max()) > int(self._max_payload.min()):
             np.maximum.at(self._max_payload, rep_ids, sizes)
         after = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
@@ -731,69 +803,6 @@ class BatchEngine:
             # Single-rumor runs: the post-merge popcount IS the round's
             # informed count per replication (initiations never change
             # knowledge), so the completion predicate and curve reuse it.
-            self._informed_cache = (self.round, 0, after)
-
-    def _deliver_linear(
-        self,
-        lin_i: np.ndarray,
-        lin_j: np.ndarray,
-        rep_ids: np.ndarray,
-        payload_i: np.ndarray,
-        payload_j: np.ndarray,
-    ) -> None:
-        """Delivery fast path for static non-blocking single-word runs.
-
-        No dynamics means no faults, no lost exchanges, and no outstanding
-        bookkeeping; the due entries carry flattened knowledge indices, so
-        the merge is a direct scatter.
-        """
-        if not self._active.all():
-            alive = self._active[rep_ids]
-            if not alive.any():
-                return
-            if not alive.all():
-                lin_i = lin_i[alive]
-                lin_j = lin_j[alive]
-                rep_ids = rep_ids[alive]
-                payload_i = payload_i[alive]
-                payload_j = payload_j[alive]
-        know = self._know
-        if self._popcounts is None:
-            self._popcounts = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
-        before = self._popcounts
-        flat = know.reshape(-1)
-        rec_flat = (
-            self._sir_recovered.reshape(-1) if self._sir_infected_at is not None else None
-        )
-        if len(self._rumors) == 1:
-            one = np.uint64(1)
-            if payload_i.dtype == np.bool_:
-                sel_j, sel_i = payload_i, payload_j
-                sizes = payload_i.astype(np.int64)
-                sizes += payload_j
-            else:
-                sel_j = payload_i != 0
-                sel_i = payload_j != 0
-                sizes = (payload_i + payload_j).astype(np.int64)
-            if rec_flat is not None:
-                sel_j = sel_j & ~rec_flat[lin_j]
-                sel_i = sel_i & ~rec_flat[lin_i]
-            flat[lin_j[sel_j]] = one
-            flat[lin_i[sel_i]] = one
-        else:
-            np.bitwise_or.at(flat, lin_j, payload_i)
-            np.bitwise_or.at(flat, lin_i, payload_j)
-            sizes = (np.bitwise_count(payload_i) + np.bitwise_count(payload_j)).astype(np.int64)
-        self._messages += 2 * np.bincount(rep_ids, minlength=self.reps)
-        self._payload_sent += np.bincount(rep_ids, weights=sizes, minlength=self.reps).astype(
-            np.int64
-        )
-        if sizes.size and int(sizes.max()) > int(self._max_payload.min()):
-            np.maximum.at(self._max_payload, rep_ids, sizes)
-        after = np.bitwise_count(know).sum(axis=(0, 2), dtype=np.int64)
-        self._deliveries += after - before
-        self._popcounts = after
-        if len(self._rumors) == 1:
             self._informed_cache = (self.round, 0, after)
 
     def _step(self, policy: BatchPolicySpec) -> None:
@@ -886,7 +895,8 @@ class BatchEngine:
                 self._outstanding += acting
             else:
                 self._outstanding[active_rows] += acting
-        self._record_activations(slots_f, reps_f)
+        if self._track_activations:
+            self._record_activations(slots_f, reps_f)
         if cacheable:
             if self._acting_counts is None or self._acting_counts[0] != cache_key:
                 self._acting_counts = (cache_key, acting.sum(axis=1))
@@ -904,13 +914,16 @@ class BatchEngine:
         order = np.argsort(sortkeys_f, kind="stable")
         slots_s = slots_f[order]
         nodes_s = nodes_f[order]
-        reps_s = reps_f[order]
+        reps_s = reps_f if reps == 1 else reps_f[order]  # one column: all rep ids are 0
         latencies_s = sortkeys_f[order]
         responders_s = self._indices[slots_s]
         if self._words == 1:
             flat = self._know.reshape(-1)
-            lin_i = nodes_s * reps + reps_s
-            lin_j = responders_s * reps + reps_s
+            if reps == 1:  # node indices are the flattened knowledge indices
+                lin_i, lin_j = nodes_s, responders_s
+            else:
+                lin_i = nodes_s * reps + reps_s
+                lin_j = responders_s * reps + reps_s
             if self._bool_payloads:
                 payload_i = flat[lin_i] != 0
                 payload_j = flat[lin_j] != 0
@@ -963,15 +976,7 @@ class BatchEngine:
                 f"policy carries {len(policy.rngs)} replication rngs but the engine "
                 f"runs {self.reps} replications"
             )
-        if policy.gate == "sir":
-            if len(self._rumors) != 1:
-                raise ValueError(
-                    "the 'sir' gate runs single-rumor (one-to-all) tasks only; "
-                    f"{len(self._rumors)} rumors are seeded"
-                )
-            self._sir_ensure()
-        self._lin_entries = self._lin_due and self._words == 1
-        self._bool_payloads = self._lin_entries and len(self._rumors) == 1
+        self._prepare(policy)
         if self._curve_rumor is not None:
             self._curve.append(self.informed_counts(self._curve_rumor))
         self._finish(np.asarray(stop_mask(self), dtype=bool))
@@ -984,9 +989,20 @@ class BatchEngine:
             self._finish(np.asarray(stop_mask(self), dtype=bool))
             if self._curve_rumor is not None:
                 self._curve.append(self.informed_counts(self._curve_rumor))
-        self._flush_activations()
-        keys = self._edge_keys(self._idx)
+        keys = self._final_edge_keys()
         return [self._materialize_metrics(rep, keys) for rep in range(self.reps)]
+
+    def _prepare(self, policy: BatchPolicySpec) -> None:
+        """Validate the seeding against ``policy`` and pick the due-entry layout."""
+        if policy.gate == "sir":
+            if len(self._rumors) != 1:
+                raise ValueError(
+                    "the 'sir' gate runs single-rumor (one-to-all) tasks only; "
+                    f"{len(self._rumors)} rumors are seeded"
+                )
+            self._sir_ensure()
+        self._lin_entries = self._lin_due and self._words == 1
+        self._bool_payloads = self._lin_entries and len(self._rumors) == 1
 
     def _finish(self, mask: np.ndarray) -> None:
         """Freeze replications whose stop predicate turned true this round."""
@@ -1012,7 +1028,19 @@ class BatchEngine:
         points = self._curve if end < 0 else self._curve[: end + 1]
         return [int(counts[rep]) for counts in points]
 
-    def _materialize_metrics(self, rep: int, keys: list[tuple[str, str]]) -> SimulationMetrics:
+    def _final_edge_keys(self) -> Optional[list[tuple[str, str]]]:
+        """Flush parked activations; the final snapshot's keys per edge id.
+
+        ``None`` when per-edge counters are not tracked.
+        """
+        if not self._track_activations:
+            return None
+        self._flush_activations()
+        return self._edge_keys(self._idx)
+
+    def _materialize_metrics(
+        self, rep: int, keys: Optional[list[tuple[str, str]]]
+    ) -> SimulationMetrics:
         """Build the reference-format metrics object of one replication.
 
         ``keys`` is the shared canonical label pair per edge id of the
@@ -1023,6 +1051,12 @@ class BatchEngine:
         metrics.rounds = completion if completion >= 0 else self.round
         if completion >= 0:
             metrics.completion_time = float(completion)
+        self._fill_counters(metrics, rep)
+        metrics.edge_activations = self._activation_counter(rep, keys)
+        return metrics
+
+    def _fill_counters(self, metrics: SimulationMetrics, rep: int) -> None:
+        """Copy replication ``rep``'s scalar counters into ``metrics``."""
         metrics.activations = int(self._activations[rep])
         metrics.messages = int(self._messages[rep])
         metrics.rumor_deliveries = int(self._deliveries[rep])
@@ -1030,6 +1064,11 @@ class BatchEngine:
         metrics.max_payload_size = int(self._max_payload[rep])
         metrics.lost_exchanges = int(self._lost[rep])
         metrics.suppressed_exchanges = int(self._suppressed[rep])
+
+    def _activation_counter(self, rep: int, keys: Optional[list[tuple[str, str]]]) -> Counter:
+        """Replication ``rep``'s per-edge activation counts, keyed by label pair."""
+        if keys is None:
+            return Counter()
         # Zero-count entries are kept: Counter equality (3.10+) treats them
         # as absent, and building the dict without a filter stays C-speed.
         data = dict(zip(keys, self._edge_counts[:, rep].tolist()))
@@ -1037,5 +1076,4 @@ class BatchEngine:
         if folded:
             for key, count in folded.items():
                 data[key] = data.get(key, 0) + count
-        metrics.edge_activations = Counter(data)
-        return metrics
+        return Counter(data)

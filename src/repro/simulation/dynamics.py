@@ -55,7 +55,7 @@ afterwards.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
@@ -140,16 +140,23 @@ class FaultState:
     faults are permanent for the rest of the run, matching the legacy
     crash-stop :class:`~repro.simulation.faults.FaultPlan` model.
 
-    The reference engine uses the label-based sets directly; the fast
-    backend subclasses :meth:`crash` / :meth:`drop_edge` to mirror the
-    state into index-based structures.
+    The label-based sets are authoritative (the reference engine reads
+    them directly).  Backends that keep index-based mirrors pass hooks:
+    ``on_crash(node)`` and ``on_drop(u, v)`` run once per *new* fault, so
+    a repeated event never touches the mirrors twice.
     """
 
-    __slots__ = ("crashed", "dropped")
+    __slots__ = ("crashed", "dropped", "_on_crash", "_on_drop")
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        on_crash: Optional[Callable[[NodeId], None]] = None,
+        on_drop: Optional[Callable[[NodeId, NodeId], None]] = None,
+    ) -> None:
         self.crashed: set = set()
         self.dropped: set = set()
+        self._on_crash = on_crash
+        self._on_drop = on_drop
 
     @property
     def active(self) -> bool:
@@ -158,11 +165,18 @@ class FaultState:
 
     def crash(self, node: NodeId) -> None:
         """Mark ``node`` as crash-stopped (idempotent)."""
-        self.crashed.add(node)
+        if node not in self.crashed:
+            self.crashed.add(node)
+            if self._on_crash is not None:
+                self._on_crash(node)
 
     def drop_edge(self, u: NodeId, v: NodeId) -> None:
         """Mark the edge ``{u, v}`` as permanently faulted (idempotent)."""
-        self.dropped.add(frozenset((u, v)))
+        key = frozenset((u, v))
+        if key not in self.dropped:
+            self.dropped.add(key)
+            if self._on_drop is not None:
+                self._on_drop(u, v)
 
     def is_crashed(self, node: NodeId) -> bool:
         """Whether ``node`` has crash-stopped."""

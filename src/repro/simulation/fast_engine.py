@@ -43,36 +43,6 @@ from .rng import degrees_array, is_numpy_generator, uniform_slot_offsets
 __all__ = ["FastEngine"]
 
 
-class _IndexedFaultState(FaultState):
-    """A :class:`FaultState` that mirrors updates into FastEngine indices.
-
-    The label-based sets stay authoritative (the shared applier and any
-    parity assertions read them); each *new* fault additionally notifies
-    the owning engine so it can maintain its contiguous-index bookkeeping
-    (crashed-index set, dropped directed pairs, survivor-informed counts)
-    without re-deriving it per round.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: "FastEngine") -> None:
-        super().__init__()
-        self._engine = engine
-
-    def crash(self, node: NodeId) -> None:
-        """Crash-stop ``node``, updating the engine's index mirrors once."""
-        if node not in self.crashed:
-            self.crashed.add(node)
-            self._engine._on_crash(node)
-
-    def drop_edge(self, u: NodeId, v: NodeId) -> None:
-        """Fault the edge ``{u, v}``, updating the directed-pair mirror once."""
-        key = frozenset((u, v))
-        if key not in self.dropped:
-            self.dropped.add(key)
-            self._engine._on_edge_fault(u, v)
-
-
 @register_engine("fast")
 class FastEngine:
     """Vectorized bitset backend for declarative gossip policies.
@@ -133,7 +103,7 @@ class FastEngine:
         self._lb_done = 0
         # Fault bookkeeping: the shared label-based state plus index mirrors
         # (stable across CSR re-snapshots because node indices only append).
-        self._fault_state: FaultState = _IndexedFaultState(self)
+        self._fault_state = FaultState(on_crash=self._on_crash, on_drop=self._on_edge_fault)
         self._crashed_idx: set[int] = set()
         self._dropped_pairs: set[tuple[int, int]] = set()
         # Fault events naming a node added earlier in the same round reach

@@ -21,17 +21,15 @@ The simulation layer exposes one abstract surface — :class:`EngineProtocol`
   (the :class:`BatchCapability` surface) instead of ``run``; replication
   ``r`` reproduces, bit for bit, the sequential numpy-mode ``FastEngine``
   run whose policy rng is seeded ``derive_seed(seed, "rep", r)``.
-* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`, which
-  vectorizes a *single* run across the whole edge set (the complement of
-  the batch backend's across-replications axis): one numpy draw vector and
-  one latency-argsort per round, knowledge as a flat ``(n, words)`` uint64
-  bitplane.  It runs the same declarative :class:`RoundPolicySpec` surface
-  as the fast backend but requires a numpy Generator rng for uniform
-  selection, and reproduces, bit for bit, the numpy-mode fast run whose
-  rng is seeded ``derive_seed(seed, "rep", 0)`` — i.e. replication 0 of
-  the batched form.  Built for large-n single trajectories (10^6-node
-  runs in seconds); ``"auto"`` prefers it from
-  :data:`EDGE_AUTO_NODE_THRESHOLD` nodes upward.
+* ``"edge"`` — :class:`~repro.simulation.edge_engine.EdgeEngine`, the
+  batch engine pinned to one replication: the same vectorized round (one
+  numpy draw vector and one latency argsort per round over every edge
+  slot) behind the fast backend's single-run :class:`RoundPolicySpec`
+  surface.  Uniform selection needs a numpy Generator rng; a run seeded
+  ``derive_seed(seed, "rep", 0)`` reproduces, bit for bit, the numpy-mode
+  fast run with that rng — i.e. replication 0 of the batched form.  Built
+  for large-n single trajectories (10^6-node runs in seconds); ``"auto"``
+  prefers it from :data:`EDGE_AUTO_NODE_THRESHOLD` nodes upward.
 
 The capability contract
 -----------------------
@@ -102,9 +100,9 @@ class EngineSelectionError(ValueError):
 class SimulationError(RuntimeError):
     """Raised when a backend refuses a run it cannot execute safely.
 
-    The guard-rail error for resource limits — most prominently the edge
-    backend's up-front memory estimate, which raises this (with the
-    estimate in the message) instead of letting an oversized request OOM.
+    The guard-rail error for resource limits — most prominently the
+    vectorized engine's up-front memory estimate, which raises this (with
+    the estimate in the message) instead of letting an oversized request OOM.
     """
 
 
@@ -399,8 +397,8 @@ def set_default_backend(engine: str) -> str:
     backend; ``"fast"`` prefers the fast backend where the capability
     allows it (callback-only algorithms still fall back to reference —
     the preference is a steering knob, not a hard request); ``"edge"``
-    prefers the edge backend for declarative single runs regardless of
-    graph size; ``"auto"`` restores the built-in rule (fast below
+    prefers the single-run view of the vectorized engine for declarative
+    single runs regardless of graph size; ``"auto"`` restores the built-in rule (fast below
     :data:`EDGE_AUTO_NODE_THRESHOLD` nodes, edge at or above it).
     Explicit ``engine=`` arguments on individual runs are unaffected.
     """
@@ -426,13 +424,14 @@ def resolve_backend(
     ``"auto"`` picks ``"fast"`` when the algorithm's capability allows it
     and no event trace is requested, and ``"reference"`` otherwise — unless
     :func:`set_default_backend` pinned the preference, or ``num_nodes`` is
-    at least :data:`EDGE_AUTO_NODE_THRESHOLD`, in which case the
-    edge-vectorized backend takes over the declarative single-run case.
-    With a replication count (``reps`` is not ``None``) ``"auto"`` resolves
-    to ``"batch"`` (the vectorized multi-replication backend), ``"fast"``
-    means the sequential numpy-mode replication loop, and ``"reference"``
-    and ``"edge"`` are rejected — the former has no numpy sampling mode,
-    the latter vectorizes a single run and has no replication axis.
+    at least :data:`EDGE_AUTO_NODE_THRESHOLD`, in which case ``"edge"``
+    (the vectorized engine at one replication) takes over the declarative
+    single-run case.  With a replication count (``reps`` is not ``None``)
+    ``"auto"`` resolves to ``"batch"`` (the vectorized engine with its
+    replication axis), ``"fast"`` means the sequential numpy-mode
+    replication loop, and ``"reference"`` and ``"edge"`` are rejected —
+    the former has no numpy sampling mode, the latter is pinned to a
+    single run and has no replication axis.
     Explicit requests that cannot be satisfied raise
     :class:`EngineSelectionError`.
     """
@@ -458,7 +457,7 @@ def resolve_backend(
             )
         if engine == "edge":
             raise EngineSelectionError(
-                "the edge backend vectorizes a single run across the edge set and "
+                "the edge backend is the vectorized engine pinned to one run and "
                 "has no replication axis; replicated runs need engine='batch' "
                 "(vectorized over replications) or engine='fast' (sequential loop)"
             )

@@ -22,12 +22,14 @@ from repro.gossip import (
 )
 from repro.graphs import cycle_graph, star, uniform_latency, weighted_erdos_renyi
 from repro.simulation import (
+    BatchEngine,
     EngineProtocol,
     EngineSelectionError,
     FastEngine,
     GossipEngine,
     PolicyCapability,
     RoundPolicySpec,
+    SimulationError,
     available_backends,
     create_engine,
     resolve_backend,
@@ -206,3 +208,22 @@ def test_round_robin_spec_needs_no_rng_and_validates():
         RoundPolicySpec(select="best-neighbor", rng=make_rng(0))
     with pytest.raises(ValueError):
         RoundPolicySpec(select="round-robin", gate="everyone")
+
+
+# ----------------------------------------------------------------------
+# Memory guard of the vectorized engine (batch runs; the edge view's
+# guard is covered in test_edge_engine)
+# ----------------------------------------------------------------------
+def test_batch_memory_guard_blocks_all_to_all_growth_with_estimate():
+    graph = weighted_erdos_renyi(200, 0.2, seed=3)
+    totals = []
+    for reps in (1, 4):
+        engine = BatchEngine(graph.copy(), reps=reps)
+        totals.append(engine._estimate_bytes(words=4)["total"])
+        # A budget the single-rumor tensor fits but all-to-all does not.
+        engine._memory_limit = engine._estimate_bytes(words=1)["total"]
+        with pytest.raises(SimulationError, match="batch backend refuses") as excinfo:
+            engine.seed_all_rumors()
+        assert "GiB" in str(excinfo.value) and f"reps={reps}" in str(excinfo.value)
+        assert engine._words == 1  # refused before growing anything
+    assert totals[1] > totals[0]  # the estimate grows with the replication count

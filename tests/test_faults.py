@@ -130,6 +130,20 @@ class TestFaultEvents:
         assert faults.suppresses(0, 3)  # any exchange touching a crashed node
         assert not faults.suppresses(1, 3)
 
+    def test_fault_hooks_fire_once_per_new_fault(self):
+        crashes, drops = [], []
+        faults = FaultState(on_crash=crashes.append, on_drop=lambda u, v: drops.append((u, v)))
+        events = [
+            TopologyEvent("node-crash", 0),
+            TopologyEvent("edge-fault", 1, 2),
+            TopologyEvent("node-crash", 0),  # repeats are no-ops
+            TopologyEvent("edge-fault", 2, 1),  # same undirected edge
+        ]
+        apply_events(clique(4), events, faults)
+        assert crashes == [0]
+        assert drops == [(1, 2)]
+        assert faults.crashed == {0} and faults.dropped == {frozenset((1, 2))}
+
     def test_edge_fault_event_requires_both_endpoints(self):
         with pytest.raises(ValueError, match="both endpoints"):
             TopologyEvent("edge-fault", 0)

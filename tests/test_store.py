@@ -17,6 +17,8 @@ The store's contract has four load-bearing faces, each covered here:
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -37,6 +39,8 @@ from repro.scenario import (
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.protocol import EngineSelectionError
 from repro.store import (
+    GRAPH_STORE_FORMAT,
+    RESULT_STORE_FORMAT,
     GraphStore,
     ResultStore,
     configure_graph_store,
@@ -48,6 +52,26 @@ from repro.store import (
 )
 
 _SRC_DIR = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+#: SHA-256 of the golden-trace fixtures, per (GRAPH_STORE_FORMAT,
+#: RESULT_STORE_FORMAT) pair.  A change that moves a golden trace changes
+#: simulation semantics, so cached graphs and results from before it are
+#: stale: bump the format tags and pin the new digest under the new pair.
+GOLDEN_DIGESTS = {
+    (1, 1): "58af51af6b4cc6994360d66f33d5864198068326f34c98bde64c2a0450e274d3",
+}
+
+
+def golden_fixture_digest() -> str:
+    """SHA-256 over the names and bytes of ``tests/golden/*.json``."""
+    digest = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(_GOLDEN_DIR, "*.json"))):
+        digest.update(os.path.basename(path).encode() + b"\0")
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 @pytest.fixture(autouse=True)
@@ -136,6 +160,14 @@ class TestDigests:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+    def test_golden_fixtures_are_pinned_to_the_store_format_tags(self):
+        tags = (GRAPH_STORE_FORMAT, RESULT_STORE_FORMAT)
+        assert tags in GOLDEN_DIGESTS, f"no golden digest pinned for store formats {tags}"
+        assert golden_fixture_digest() == GOLDEN_DIGESTS[tags], (
+            "tests/golden changed without a store format bump: bump GRAPH_STORE_FORMAT "
+            "and RESULT_STORE_FORMAT in repro.store, then pin the new digest"
+        )
 
 
 # ----------------------------------------------------------------------
