@@ -5,18 +5,26 @@
 * E14 — structural checks: the T(k) schedule and DTG iteration growth,
 * E23 — sparse spectral conductance at 10^4–10^6 nodes: estimate
   wall-clock, Cheeger certification, small-n oracle parity, and
-  predicted-vs-measured push-pull spreading time.
+  predicted-vs-measured push-pull spreading time,
+* E25 — exact (φ*, ℓ*): the per-cut loop vs the vectorized cut-matrix
+  kernel, with a bit-for-bit parity column.
 """
 
 from __future__ import annotations
 
 import gc as _gc
 import math
+import statistics
 import time as _time
 
 from repro.analysis import ResultTable, loglog_slope
 from repro.core import check_theorem5
-from repro.core.conductance import weight_ell_conductance
+from repro.core.conductance import (
+    critical_weighted_conductance,
+    cut_weight_ell_conductance,
+    weight_ell_conductance,
+    weighted_conductance_profile,
+)
 from repro.core.spectral import (
     LaplacianOperator,
     fiedler_pair,
@@ -36,6 +44,7 @@ from repro.graphs import (
     cycle_graph,
     dumbbell,
     erdos_renyi,
+    enumerate_cuts,
     erdos_renyi_csr,
     grid_graph,
     kronecker_csr,
@@ -55,6 +64,7 @@ __all__ = [
     "experiment_e9_spanner_quality",
     "experiment_e14_structures",
     "experiment_e23_spectral_scale",
+    "experiment_e25_exact_conductance",
 ]
 
 
@@ -344,6 +354,105 @@ def experiment_e23_spectral_scale(quick: bool = False) -> ResultTable:
                 }
                 for family, row in headlines.items()
             },
+        },
+    )
+    return table
+
+
+_E25_SEED = 25
+_E25_SIZES = (6, 8, 10, 12, 14, 16, 18)
+_E25_SIZES_QUICK = (6, 8, 10, 12)
+#: Largest n the per-cut loop runs at (it costs (2^(n-1)-1)·L·m Python steps).
+_E25_LOOP_MAX = 12
+_E25_LOOP_MAX_QUICK = 10
+#: Kernel timings are the median of this many calls.
+_E25_KERNEL_REPEATS = 3
+
+
+def _e25_loop_critical(graph) -> tuple[float, int, object]:
+    """(φ*, ℓ*, witness) the pre-kernel way: Definition 1 per cut, per threshold.
+
+    Thresholds ascend and only a strictly larger ratio (or a strictly
+    smaller φ_ℓ(C)) replaces the incumbent, the documented tie-break.
+    """
+    cuts = list(enumerate_cuts(graph))
+    best_ratio, best = -math.inf, None
+    for ell in graph.distinct_latencies():
+        phi, witness = math.inf, None
+        for cut in cuts:
+            value = cut_weight_ell_conductance(graph, cut, ell)
+            if value < phi:
+                phi, witness = value, cut
+        if phi / ell > best_ratio:
+            best_ratio, best = phi / ell, (phi, ell, witness)
+    return best
+
+
+def experiment_e25_exact_conductance(quick: bool = False) -> ResultTable:
+    """E25: exact critical conductance, per-cut loop vs vectorized kernel.
+
+    Each row is one random connected graph (G(n, 1/2), uniform latencies in
+    [1, 64]).  ``kernel_seconds`` times ``critical_weighted_conductance``
+    (one scan of the cut-side table); ``loop_seconds`` times the per-cut
+    Definition 1 loop it replaced, which only runs up to a small n.  The
+    ``parity`` column requires the kernel's φ*, ℓ* and witness cut to equal
+    the loop's exactly wherever the loop ran.
+    """
+    table = ResultTable(title="E25: exact (phi*, ell*) — per-cut loop vs cut-matrix kernel")
+    sizes = _E25_SIZES_QUICK if quick else _E25_SIZES
+    loop_max = _E25_LOOP_MAX_QUICK if quick else _E25_LOOP_MAX
+    rows = []
+    for n in sizes:
+        base = erdos_renyi(n, 0.5, seed=_E25_SEED + n)
+        graph = assign_latencies(base, uniform_latency(1, 64), seed=_E25_SEED + n)
+        timings = []
+        for _ in range(_E25_KERNEL_REPEATS):
+            started = _time.perf_counter()
+            kernel = critical_weighted_conductance(graph)
+            timings.append(_time.perf_counter() - started)
+        kernel_seconds = statistics.median(timings)
+        loop_seconds = None
+        parity = "n/a"
+        if n <= loop_max:
+            started = _time.perf_counter()
+            phi, ell, witness = _e25_loop_critical(graph)
+            loop_seconds = _time.perf_counter() - started
+            profile = weighted_conductance_profile(graph)
+            same = kernel == (phi, ell) and profile.critical_witness == witness
+            parity = "bit-for-bit" if same else "MISMATCH"
+        row = dict(
+            n=n,
+            edges=graph.num_edges,
+            latencies=len(graph.distinct_latencies()),
+            cuts=2 ** (n - 1) - 1,
+            loop_seconds=None if loop_seconds is None else round(loop_seconds, 4),
+            kernel_seconds=round(kernel_seconds, 5),
+            speedup=None if loop_seconds is None else round(loop_seconds / kernel_seconds, 1),
+            phi_star=round(kernel[0], 6),
+            ell_star=kernel[1],
+            parity=parity,
+        )
+        table.add_row(**row)
+        rows.append(row)
+    table.add_note("kernel_seconds: median of 3 critical_weighted_conductance calls (one cut-matrix scan);")
+    table.add_note(f"loop_seconds: the per-cut Definition 1 loop over every threshold (n <= {loop_max}).")
+    table.add_note("parity: kernel (phi*, ell*) and witness cut equal the loop's exactly.")
+    # Imported lazily: the registry imports this module at load time.
+    from .registry import record_bench
+
+    record_bench(
+        "E25",
+        {
+            "quick": quick,
+            "kernel": "cut-matrix-scan-vs-per-cut-loop",
+            "parity": all(row["parity"] != "MISMATCH" for row in rows),
+            "rows": [
+                {
+                    key: row[key]
+                    for key in ("n", "latencies", "loop_seconds", "kernel_seconds", "speedup", "parity")
+                }
+                for row in rows
+            ],
         },
     )
     return table

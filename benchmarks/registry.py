@@ -1,4 +1,4 @@
-"""Registry mapping experiment ids (E1..E24) to their implementations.
+"""Registry mapping experiment ids (E1..E25) to their implementations.
 
 Both the pytest-benchmark modules and the CLI (``repro-gossip experiment E7``)
 dispatch through :func:`run_experiment`.  Every experiment returns a
@@ -6,7 +6,7 @@ dispatch through :func:`run_experiment`.  Every experiment returns a
 
 Perf-trajectory records
 -----------------------
-Speed-comparison experiments (E17, E20, E21, E22, E23, E24) additionally persist a small
+Speed-comparison experiments (E17, E20, E21, E22, E23, E24, E25) additionally persist a small
 machine-readable summary — headline rates, the engine knob, and the git
 SHA — via :func:`record_bench`, which writes ``BENCH_<id>.json`` at the
 repository root.  CI uploads these files as artifacts, so the measured
@@ -32,6 +32,7 @@ from .experiments_conductance import (
     experiment_e1_theorem5,
     experiment_e14_structures,
     experiment_e23_spectral_scale,
+    experiment_e25_exact_conductance,
     experiment_e9_spanner_quality,
 )
 from .experiments_lower_bounds import (
@@ -85,6 +86,7 @@ EXPERIMENTS: dict[str, tuple[str, ExperimentFunction]] = {
     "E22": ("CSR-first families: million-node builds + SIR push-pull at scale", experiment_e22_family_scale),
     "E23": ("Spectral conductance: sparse CSR Fiedler sweep at million-node scale", experiment_e23_spectral_scale),
     "E24": ("Artifact store: content-addressed graph reuse + result memoization", experiment_e24_store),
+    "E25": ("Exact conductance: per-cut loop vs vectorized cut-matrix kernel", experiment_e25_exact_conductance),
 }
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")

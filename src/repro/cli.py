@@ -12,7 +12,7 @@ The CLI exposes five things:
   scenario files (schema + round-trip),
 * ``conductance`` — print the weighted-conductance profile of a generated
   graph,
-* ``experiment`` — regenerate one of the experiments (E1 .. E24) and print
+* ``experiment`` — regenerate one of the experiments (E1 .. E25) and print
   its table; the same code paths the benchmark suite uses.  Sweeps built on
   :class:`repro.analysis.Experiment` honour ``--workers``,
   ``--checkpoint-dir``, and ``--resume``,
@@ -35,7 +35,7 @@ from collections.abc import Sequence
 from typing import Optional
 
 from .analysis.tables import render_table
-from .core import check_theorem5, extract_parameters, spectral_conductance
+from .core import DEFAULT_MAX_EXACT_NODES, check_theorem5, extract_parameters, spectral_conductance
 from .graphs.weighted_graph import GraphError
 from .scenario import (
     DynamicsSpec,
@@ -335,7 +335,7 @@ def _command_conductance(args: argparse.Namespace) -> int:
     print(f"ell*             = {params.ell_star}")
     print(f"phi_avg          = {params.phi_avg:.5f}")
     print(f"latency classes  = {params.nonempty_classes}")
-    if graph.num_nodes <= 16:
+    if graph.num_nodes <= DEFAULT_MAX_EXACT_NODES:
         report = check_theorem5(graph, seed=args.seed)
         print(f"Theorem 5 holds  = {report.holds()}  (lower={report.lower:.5f}, upper={report.upper:.5f})")
     return 0
@@ -707,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cond_parser.set_defaults(handler=_command_conductance)
 
-    exp_parser = subparsers.add_parser("experiment", help="regenerate a paper experiment (E1..E24)")
+    exp_parser = subparsers.add_parser("experiment", help="regenerate a paper experiment (E1..E25)")
     exp_parser.add_argument("experiment", help="experiment id, e.g. E1")
     exp_parser.add_argument("--quick", action="store_true", help="reduced sweep for a fast smoke run")
     exp_parser.add_argument(

@@ -25,9 +25,9 @@ from ..graphs.cuts import Cut, cut_edges
 from ..graphs.weighted_graph import Edge, GraphError, NodeId, WeightedGraph
 from .conductance import (
     DEFAULT_MAX_EXACT_NODES,
+    _critical_with_witness,
     critical_weighted_conductance,
     cut_weight_ell_conductance,
-    weight_ell_conductance,
 )
 from .estimation import estimate_critical_conductance, fiedler_ordering
 
@@ -91,11 +91,7 @@ def find_bottleneck(graph: WeightedGraph, seed: int = 0, max_exact_nodes: int = 
         raise GraphError("bottleneck analysis requires a graph with at least 2 nodes and 1 edge")
     exact = graph.num_nodes <= max_exact_nodes
     if exact:
-        phi_star, ell_star = critical_weighted_conductance(graph, max_exact_nodes)
-        witness = weight_ell_conductance(graph, ell_star, max_exact_nodes).witness
-        if witness is None:
-            raise GraphError("no witness cut found")
-        cut = witness
+        phi_star, ell_star, cut = _critical_with_witness(graph, max_exact_nodes)
     else:
         phi_star, ell_star = estimate_critical_conductance(graph, seed=seed, max_exact_nodes=max_exact_nodes)
         cut = _approximate_bottleneck_cut(graph, ell_star)

@@ -8,9 +8,12 @@ edges below a latency threshold, and compute volumes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .weighted_graph import Edge, GraphError, NodeId, WeightedGraph
 
@@ -18,6 +21,7 @@ __all__ = [
     "Cut",
     "cut_edges",
     "cut_edges_within_latency",
+    "cut_side_table",
     "enumerate_cuts",
     "enumerate_cut_node_sets",
     "sweep_cuts",
@@ -89,10 +93,27 @@ def enumerate_cut_node_sets(graph: WeightedGraph) -> Iterator[frozenset[NodeId]]
     for size in range(1, len(rest) + 1):
         for combo in itertools.combinations(rest, size):
             yield frozenset(combo)
-    # The cut separating the anchor alone is represented by its complement
-    # side {anchor}? No: the loop above yields every non-empty subset of
-    # ``rest``; the subset equal to ``rest`` itself corresponds to the cut
-    # ({anchor}, rest), so all proper cuts are covered exactly once.
+
+
+@functools.lru_cache(maxsize=4)
+def cut_side_table(num_nodes: int) -> np.ndarray:
+    """Return every cut side of a ``num_nodes``-node graph as one boolean table.
+
+    Row ``r`` marks (by node position in ``graph.nodes()``) the side that
+    :func:`enumerate_cut_node_sets` yields ``r``-th, so a row index is a cut
+    in the same order.  The table depends on ``num_nodes`` only and is
+    cached read-only.  Node ``i + 1`` is bit ``n - 2 - i`` of a mask over the
+    non-anchor nodes; ``itertools.combinations`` emits the masks by
+    ascending popcount and, within one size, by descending mask.
+    """
+    rest = max(num_nodes - 1, 0)
+    masks = np.arange(1, 1 << rest, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(rest - 1, -1, -1)) & 1).astype(bool)
+    order = np.lexsort((-masks, bits.sum(axis=1)))
+    table = np.zeros((len(masks), num_nodes), dtype=bool)
+    table[:, 1:] = bits[order]
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_cuts(graph: WeightedGraph) -> Iterator[Cut]:
