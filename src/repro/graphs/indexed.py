@@ -30,6 +30,7 @@ materialising per-node dicts.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -67,31 +68,26 @@ class IndexedGraph:
     def __init__(self, graph: "WeightedGraph") -> None:
         labels: list["NodeId"] = graph.nodes()
         index: dict["NodeId", int] = {label: i for i, label in enumerate(labels)}
-        indptr: list[int] = [0]
-        indices: list[int] = []
-        latencies: list[int] = []
-        slot_edge_id: list[int] = []
-        edge_ids: dict[tuple[int, int], int] = {}
-        neighbor_labels: list[tuple["NodeId", ...]] = []
-        for i, label in enumerate(labels):
-            nbr_latencies = graph.neighbor_latencies(label)
-            neighbor_labels.append(tuple(nbr_latencies))
-            for nbr, latency in nbr_latencies.items():
-                j = index[nbr]
-                key = (i, j) if i < j else (j, i)
-                edge_id = edge_ids.setdefault(key, len(edge_ids))
-                indices.append(j)
-                latencies.append(latency)
-                slot_edge_id.append(edge_id)
-            indptr.append(len(indices))
+        adjacency = [graph.neighbor_latencies(label) for label in labels]
+        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(labels))
+        indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        slots = int(indptr[-1])
         self.labels = labels
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.latencies = np.asarray(latencies, dtype=np.int64)
-        self._slot_edge_id: Optional["np.ndarray"] = np.asarray(slot_edge_id, dtype=np.int64)
-        self.num_edges = len(edge_ids)
+        self.indptr = indptr
+        self.indices = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(adjacency)), dtype=np.int64, count=slots
+        )
+        self.latencies = np.fromiter(
+            chain.from_iterable(nbrs.values() for nbrs in adjacency), dtype=np.int64, count=slots
+        )
+        # Edge ids come from the same lazy pairing as CSR-direct snapshots.
+        self._slot_edge_id: Optional["np.ndarray"] = None
+        self.num_edges = slots // 2
         self._index: Optional[dict["NodeId", int]] = index
-        self._neighbor_labels: Optional[list[tuple["NodeId", ...]]] = neighbor_labels
+        self._neighbor_labels: Optional[list[tuple["NodeId", ...]]] = [
+            tuple(nbrs) for nbrs in adjacency
+        ]
         self._slot_lookup: Optional[list[dict[int, int]]] = None
 
     @classmethod
@@ -104,11 +100,11 @@ class IndexedGraph:
     ) -> "IndexedGraph":
         """Wrap prebuilt CSR arrays without round-tripping through dicts.
 
-        ``slot_edge_id`` is reconstructed (lazily, on first access) so
-        undirected edge ids follow the same first-appearance order the
-        dict-based constructor produces (``setdefault`` over slots in CSR
-        order), keeping edge-activation accounting identical between the
-        two build paths.  The label->index dict and the per-node
+        ``slot_edge_id`` is reconstructed lazily, on first access, exactly
+        as for dict-built snapshots: undirected edge ids follow first
+        appearance in CSR slot order (what a ``setdefault`` walk over the
+        slots would assign), so edge-activation accounting is identical
+        between the two build paths.  The label->index dict and the per-node
         neighbour-label tuples are likewise lazy — a million-node run that
         never queries by label never pays for them.  The arrays must
         describe a symmetric adjacency without self-loops, so every
@@ -166,10 +162,10 @@ class IndexedGraph:
     def slot_edge_id(self) -> "np.ndarray":
         """Per-slot undirected edge id, in first-appearance (CSR) order.
 
-        Built lazily for CSR-direct snapshots: pairing the two slots of
-        each undirected edge with one stable argsort over canonical keys is
-        much cheaper than a full ``np.unique``, and runs that never track
-        edge activations skip it entirely.
+        Built lazily for every snapshot: pairing the two slots of each
+        undirected edge with one stable argsort over canonical keys is much
+        cheaper than a per-slot Python walk or a full ``np.unique``, and
+        runs that never track edge activations skip it entirely.
         """
         if self._slot_edge_id is None:
             src = self.slot_sources()

@@ -167,8 +167,21 @@ class BatchEngine:
         # volume fold at most every other round.  Larger buffers measured
         # no faster and raised the peak memory of single large runs.
         self._edge_counts: Optional[np.ndarray] = None
-        self._folded_activations: list[Counter] = [Counter() for _ in range(reps)]
         self._act_fill = 0
+        # Counts folded away at CSR re-snapshots: one dense (edge ever seen,
+        # replication) row per undirected edge, addressed by its canonical
+        # index-pair code ``min << 32 | max`` (stable: node indices only
+        # grow).  ``_fold_sorted``/``_fold_order`` are the sorted codes and
+        # their rows.  Each cell also stores its first-seen stamp
+        # ``fold << 32 | edge_id``, which orders the keys of the per-rep
+        # Counters rebuilt at the end.
+        self._folds = 0
+        self._fold_size = 0
+        self._fold_codes = np.empty(0, dtype=np.int64)
+        self._fold_sorted = np.empty(0, dtype=np.int64)
+        self._fold_order = np.empty(0, dtype=np.int64)
+        self._fold_counts = np.zeros((0, reps), dtype=np.int64)
+        self._fold_stamps = np.zeros((0, reps), dtype=np.int64)
         if self._track_activations:
             self._edge_counts = np.zeros((self._idx.num_edges, reps), dtype=np.int64)
             buffer_size = min(_RING_BUFFER_CAP, 2 * n * reps)
@@ -181,7 +194,9 @@ class BatchEngine:
         # (initiator idx, responder idx, rep idx, payload_i, payload_j) —
         # or, on static non-blocking single-word runs, the initiator and
         # responder columns hold flattened (node * reps + rep) indices so
-        # delivery can scatter without recomputing them.
+        # delivery can scatter without recomputing them.  Every round
+        # appends one entry per latency group; a topology resync coalesces
+        # each completion round's list into one entry.
         self._due: dict[int, list[tuple]] = {}
         self._lin_due = dynamics is None and not blocking
         self._lin_entries = False
@@ -526,6 +541,7 @@ class BatchEngine:
         universe only grows), latency-only changes keep every slot-indexed
         structure valid, and in-flight exchanges over severed or removed
         directed pairs are dropped and counted as lost per replication.
+        Removed pairs travel as sorted directed-pair codes ``i << 32 | j``.
         """
         old = self._idx
         new = self.graph.indexed()
@@ -535,17 +551,17 @@ class BatchEngine:
                 "mutations and appended nodes (use a 'node-leave' dynamics event to "
                 "churn a node out without deleting it)"
             )
-        severed_pairs: set[tuple[int, int]] = set()
+        severed_codes: list[int] = []
         for key in severed:
             u, v = tuple(key)
             iu, iv = old.index.get(u), old.index.get(v)
             if iu is not None and iv is not None:
-                severed_pairs.add((iu, iv))
-                severed_pairs.add((iv, iu))
+                severed_codes += [(iu << 32) | iv, (iv << 32) | iu]
+        removed = np.unique(np.array(severed_codes, dtype=np.int64))
         if np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices):
             # Latency-only change (e.g. drift): slots line up one-to-one.
-            if severed_pairs:
-                self._drop_pending_over(severed_pairs)
+            if removed.size:
+                self._drop_pending_over(removed)
             self._idx = new
             self._latencies = np.asarray(new.latencies, dtype=np.int64)
             self._set_latency_sortkey()
@@ -570,11 +586,14 @@ class BatchEngine:
                 )
                 self._sir_recovered = _pad(self._sir_recovered, 0)
         self._acting_cache = None
-        if events_only:
-            removed = severed_pairs
-        else:
-            removed = (old.directed_pairs() - new.directed_pairs()) | severed_pairs
-        if removed:
+        if not events_only:
+            gone = np.setdiff1d(
+                (old.slot_sources() << 32) | old.indices,
+                (new.slot_sources() << 32) | new.indices,
+                assume_unique=True,
+            )
+            removed = np.union1d(gone, removed)
+        if removed.size:
             self._drop_pending_over(removed)
         self._idx = new
         self._load_csr()
@@ -583,40 +602,38 @@ class BatchEngine:
         self._mask_epoch += 1
         self._graph_version = self.graph.version
 
-    def _drop_pending_over(self, removed: set[tuple[int, int]]) -> None:
-        """Drop in-flight exchanges travelling over removed directed pairs."""
-        removed_keys = np.fromiter(
-            ((i << 32) | j for i, j in removed), dtype=np.int64, count=len(removed)
-        )
+    def _drop_pending_over(self, removed: np.ndarray) -> None:
+        """Drop in-flight exchanges travelling over removed directed pairs.
+
+        ``removed`` holds sorted directed-pair codes ``i << 32 | j``.  Each
+        completion round's entries are first coalesced into one (delivery
+        concatenates them in the same order), so one ``searchsorted``
+        membership test covers the whole round.
+        """
+        last = removed.size - 1
         for completes_at, batches in list(self._due.items()):
-            kept: list[tuple] = []
-            changed = False
-            for entry in batches:
-                initiators, responders, rep_ids = entry[0], entry[1], entry[2]
-                if self._lin_entries:
-                    initiators = initiators // self.reps
-                    responders = responders // self.reps
-                keys = (initiators << 32) | responders
-                drop = np.isin(keys, removed_keys)
-                if not drop.any():
-                    kept.append(entry)
-                    continue
-                changed = True
-                if self._outstanding is not None:
-                    np.subtract.at(self._outstanding, (rep_ids[drop], initiators[drop]), 1)
-                # Completed replications' leftover exchanges are already
-                # drained in spirit — only live replications pay for losses.
-                lost = drop & self._active[rep_ids]
-                if lost.any():
-                    self._lost += np.bincount(rep_ids[lost], minlength=self.reps)
-                keep = ~drop
-                if keep.any():
-                    kept.append(tuple(part[keep] for part in entry))
-            if changed:
-                if kept:
-                    self._due[completes_at] = kept
-                else:
-                    del self._due[completes_at]
+            entry = self._concat_batches(batches)
+            initiators, responders, rep_ids = entry[0], entry[1], entry[2]
+            if self._lin_entries:
+                initiators = initiators // self.reps
+                responders = responders // self.reps
+            keys = (initiators << 32) | responders
+            drop = removed[np.minimum(np.searchsorted(removed, keys), last)] == keys
+            if not drop.any():
+                self._due[completes_at] = [entry]
+                continue
+            if self._outstanding is not None:
+                np.subtract.at(self._outstanding, (rep_ids[drop], initiators[drop]), 1)
+            # Completed replications' leftover exchanges are already
+            # drained in spirit — only live replications pay for losses.
+            lost = drop & self._active[rep_ids]
+            if lost.any():
+                self._lost += np.bincount(rep_ids[lost], minlength=self.reps)
+            keep = ~drop
+            if keep.any():
+                self._due[completes_at] = [tuple(part[keep] for part in entry)]
+            else:
+                del self._due[completes_at]
 
     # ------------------------------------------------------------------
     # Edge-activation accounting
@@ -651,36 +668,70 @@ class BatchEngine:
         self._edge_counts += counts.reshape(self._edge_counts.shape)
         self._act_fill = 0
 
-    def _edge_keys(self, idx) -> list[tuple[str, str]]:
-        """Canonical (repr-sorted) label pair per edge id of a CSR snapshot."""
-        keys: list[Optional[tuple[str, str]]] = [None] * idx.num_edges
-        reprs = [repr(label) for label in idx.labels]
+    @staticmethod
+    def _edge_codes(idx) -> np.ndarray:
+        """Canonical index-pair code ``min << 32 | max`` per edge id of a snapshot."""
         sources = idx.slot_sources()
         forward = sources < idx.indices  # each edge's one i < j slot
-        for edge_id, i, j in zip(
-            idx.slot_edge_id[forward].tolist(),
-            sources[forward].tolist(),
-            idx.indices[forward].tolist(),
-        ):
+        codes = np.empty(idx.num_edges, dtype=np.int64)
+        codes[idx.slot_edge_id[forward]] = (sources[forward] << 32) | idx.indices[forward]
+        return codes
+
+    @staticmethod
+    def _code_keys(codes: np.ndarray, labels: list) -> list[tuple[str, str]]:
+        """Canonical (repr-sorted) label pair of each index-pair code."""
+        reprs = [repr(label) for label in labels]
+        keys = []
+        for i, j in zip((codes >> 32).tolist(), (codes & 0xFFFFFFFF).tolist()):
             first, second = reprs[i], reprs[j]
-            keys[edge_id] = (first, second) if first <= second else (second, first)
-        return keys  # type: ignore[return-value]
+            keys.append((first, second) if first <= second else (second, first))
+        return keys
+
+    def _fold_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Fold-matrix rows of ``codes`` (distinct), registering unseen ones."""
+        known = self._fold_sorted
+        pos = np.searchsorted(known, codes)
+        found = np.zeros(codes.size, dtype=bool)
+        if known.size:
+            found = known[np.minimum(pos, known.size - 1)] == codes
+        rows = np.empty(codes.size, dtype=np.int64)
+        rows[found] = self._fold_order[pos[found]]
+        fresh = ~found
+        added = int(fresh.sum())
+        if added:
+            size = self._fold_size + added
+            rows[fresh] = np.arange(self._fold_size, size, dtype=np.int64)
+            capacity = self._fold_counts.shape[0]
+            if size > capacity:  # grow geometrically: rows are never freed
+                capacity = max(size, 2 * capacity)
+                grown = []
+                for array in (self._fold_codes, self._fold_counts, self._fold_stamps):
+                    wider = np.zeros((capacity,) + array.shape[1:], dtype=np.int64)
+                    wider[: self._fold_size] = array[: self._fold_size]
+                    grown.append(wider)
+                self._fold_codes, self._fold_counts, self._fold_stamps = grown
+            self._fold_codes[self._fold_size : size] = codes[fresh]
+            self._fold_size = size
+            self._fold_order = np.argsort(self._fold_codes[:size])
+            self._fold_sorted = self._fold_codes[self._fold_order]
+        return rows
 
     def _fold_activations(self, idx) -> None:
-        """Fold a retiring snapshot's per-edge counts into per-rep counters."""
+        """Fold a retiring snapshot's per-edge counts into the fold matrix."""
         if not self._track_activations:
             return
         self._flush_activations()
-        if not self._edge_counts.any():
+        counts = self._edge_counts
+        edges = np.flatnonzero(counts.any(axis=1))
+        if not edges.size:
             return
-        keys = self._edge_keys(idx)
-        for rep in range(self.reps):
-            column = self._edge_counts[:, rep]
-            nonzero = np.nonzero(column)[0]
-            if nonzero.size:
-                counter = self._folded_activations[rep]
-                for edge_id in nonzero:
-                    counter[keys[edge_id]] += int(column[edge_id])
+        rows = self._fold_rows(self._edge_codes(idx)[edges])
+        block = counts[edges]
+        prior = self._fold_counts[rows]
+        self._fold_counts[rows] = prior + block
+        edge_of, rep_of = np.nonzero((prior == 0) & (block != 0))
+        self._fold_stamps[rows[edge_of], rep_of] = (self._folds << 32) | edges[edge_of]
+        self._folds += 1
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -1028,23 +1079,28 @@ class BatchEngine:
         points = self._curve if end < 0 else self._curve[: end + 1]
         return [int(counts[rep]) for counts in points]
 
-    def _final_edge_keys(self) -> Optional[list[tuple[str, str]]]:
-        """Flush parked activations; the final snapshot's keys per edge id.
+    def _final_edge_keys(self) -> Optional[tuple[list, list]]:
+        """Flush parked activations; the label-pair keys the counters need.
 
-        ``None`` when per-edge counters are not tracked.
+        Returns the final snapshot's key per edge id and the key per fold
+        row, or ``None`` when per-edge counters are not tracked.
         """
         if not self._track_activations:
             return None
         self._flush_activations()
-        return self._edge_keys(self._idx)
+        labels = self._idx.labels
+        return (
+            self._code_keys(self._edge_codes(self._idx), labels),
+            self._code_keys(self._fold_codes[: self._fold_size], labels),
+        )
 
     def _materialize_metrics(
-        self, rep: int, keys: Optional[list[tuple[str, str]]]
+        self, rep: int, keys: Optional[tuple[list, list]]
     ) -> SimulationMetrics:
         """Build the reference-format metrics object of one replication.
 
-        ``keys`` is the shared canonical label pair per edge id of the
-        final CSR snapshot (computed once in :meth:`run_batch`).
+        ``keys`` are the shared label-pair keys of
+        :meth:`_final_edge_keys` (computed once in :meth:`run_batch`).
         """
         metrics = SimulationMetrics()
         completion = int(self._completion_round[rep])
@@ -1065,15 +1121,23 @@ class BatchEngine:
         metrics.lost_exchanges = int(self._lost[rep])
         metrics.suppressed_exchanges = int(self._suppressed[rep])
 
-    def _activation_counter(self, rep: int, keys: Optional[list[tuple[str, str]]]) -> Counter:
-        """Replication ``rep``'s per-edge activation counts, keyed by label pair."""
+    def _activation_counter(self, rep: int, keys: Optional[tuple[list, list]]) -> Counter:
+        """Replication ``rep``'s per-edge activation counts, keyed by label pair.
+
+        Insertion order is part of the parity contract (ties in
+        ``most_common`` follow it): the final snapshot's edges in edge-id
+        order, then folded-only edges in first-seen order.
+        """
         if keys is None:
             return Counter()
+        edge_keys, fold_keys = keys
         # Zero-count entries are kept: Counter equality (3.10+) treats them
         # as absent, and building the dict without a filter stays C-speed.
-        data = dict(zip(keys, self._edge_counts[:, rep].tolist()))
-        folded = self._folded_activations[rep]
-        if folded:
-            for key, count in folded.items():
-                data[key] = data.get(key, 0) + count
+        data = dict(zip(edge_keys, self._edge_counts[:, rep].tolist()))
+        column = self._fold_counts[: self._fold_size, rep]
+        rows = np.flatnonzero(column)
+        rows = rows[np.argsort(self._fold_stamps[rows, rep])]
+        for row, count in zip(rows.tolist(), column[rows].tolist()):
+            key = fold_keys[row]
+            data[key] = data.get(key, 0) + count
         return Counter(data)
